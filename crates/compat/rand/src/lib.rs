@@ -22,8 +22,12 @@ pub mod rngs {
 
 use rngs::StdRng;
 
+/// One step of splitmix64 over a caller-owned state word: the seeding
+/// mixer behind [`StdRng`], public so tiny private streams (fault
+/// schedules, backoff jitter) draw from the same generator without
+/// perturbing any `StdRng`.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

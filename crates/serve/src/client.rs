@@ -1,7 +1,7 @@
 //! The typed blocking client, and the retrying client built on it.
 //!
 //! Everything in-tree that talks to a server — the soak fleet, the
-//! churn workers, the standby's frame puller, the failover campaign,
+//! churn workers, the replicas' frame pullers, the cluster campaign,
 //! and every integration test — goes through [`Client`]. It speaks
 //! only [`Request`]/[`Reply`] values; the framing and text live in
 //! [`crate::protocol`] and nowhere else.
@@ -10,8 +10,8 @@
 //! handshake immediately and fails if the server rejects it, so a
 //! constructed `Client` is always protocol-compatible.
 //!
-//! [`Client`] is generic over a [`Transport`] so the network-chaos
-//! harness ([`crate::netchaos`]) can slide a fault-injecting stream
+//! [`Client`] is generic over a [`Transport`] so the cluster campaign
+//! ([`crate::cluster`]) can slide a fault-injecting stream
 //! underneath it without the client noticing. [`RetryClient`] layers
 //! deadline + seeded-jitter-backoff + reconnect-with-resume on top:
 //! a request that dies mid-flight is re-sent *verbatim* on a fresh
@@ -21,7 +21,8 @@
 //! turns the duplicate into a cached reply.
 
 use crate::protocol::{read_frame, write_frame, NodeRole, Reply, Request, Role, PROTO_VERSION};
-use crate::repl::{ReplError, Standby};
+use crate::repl::{RelayNode, ReplError};
+use rand::splitmix64;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -203,19 +204,20 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// Pull-and-replay until the standby has applied everything up to
-    /// `target_lsn`. Digest or frame damage fails closed as
-    /// `InvalidData` carrying the [`ReplError`] text.
-    pub fn catch_up(&mut self, standby: &mut Standby, target_lsn: u64) -> io::Result<()> {
-        while standby.next_lsn() < target_lsn {
-            let from = standby.next_lsn();
+    /// Pull-and-replay until `replica` has applied everything up to
+    /// `target_lsn`, from whichever node this connection dialed — a
+    /// primary or an upstream relay. Digest or frame damage fails
+    /// closed as `InvalidData` carrying the [`ReplError`] text.
+    pub fn catch_up(&mut self, replica: &RelayNode, target_lsn: u64) -> io::Result<()> {
+        while replica.next_lsn() < target_lsn {
+            let from = replica.next_lsn();
             let (next, bytes) = self.pull(from)?;
             if next == from {
                 return Err(data_err(format!(
-                    "primary cannot serve lsn {from} (target {target_lsn})"
+                    "upstream cannot serve lsn {from} (target {target_lsn})"
                 )));
             }
-            standby
+            replica
                 .apply(&bytes)
                 .map_err(|e: ReplError| data_err(e.to_string()))?;
         }
@@ -331,17 +333,6 @@ impl<T: Transport> std::fmt::Debug for RetryClient<T> {
     }
 }
 
-/// splitmix64 over a private state word — the same tiny generator the
-/// fault schedules use, so backoff jitter never perturbs any other
-/// seeded stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl<T: Transport> RetryClient<T> {
     /// Wrap a dial closure. Nothing connects until the first request
     /// (or a failure forces a redial).
@@ -440,6 +431,8 @@ impl<T: Transport> RetryClient<T> {
         let cap = self.policy.max_delay.as_micros().max(1) as u64;
         let step = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
         // Half fixed, half jittered: never zero, never synchronized.
+        // The jitter stream is private, so it never perturbs any other
+        // seeded stream.
         let sleep = step / 2 + splitmix64(&mut self.jitter) % (step / 2 + 1);
         std::thread::sleep(Duration::from_micros(sleep));
     }

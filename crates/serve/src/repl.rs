@@ -24,7 +24,7 @@
 //! LRU suspend/resume is deliberately invisible here: eviction is
 //! stats-neutral, so primary and standby may evict entirely different
 //! sessions at different times and still agree byte-for-byte on every
-//! reply, ledger, and digest. The failover campaign runs the standby
+//! reply, ledger, and digest. The cluster campaign runs each replica
 //! with a *different* residency cap than the primary to keep that
 //! honest.
 //!
@@ -331,12 +331,6 @@ impl Standby {
         self.next_lsn
     }
 
-    /// The highest LSN applied so far (== [`Standby::next_lsn`]); the
-    /// name the lag metrics use.
-    pub fn applied_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
     /// Replay one pulled batch. Returns the number of records applied.
     ///
     /// Records the standby has already applied (`lsn < next_lsn`) are
@@ -393,12 +387,6 @@ impl Standby {
     /// Read-only view of the standby's store (harness assertions).
     pub fn store(&self) -> &SessionStore {
         &self.store
-    }
-
-    /// Promote: the standby's store becomes the serving store. After
-    /// promotion the caller serves requests against it directly.
-    pub fn promote(self) -> SessionStore {
-        self.store
     }
 
     /// Promote, keeping the retained WAL: the successor server seeds
@@ -516,7 +504,7 @@ impl RelayNode {
     pub fn apply(&self, bytes: &[u8]) -> Result<usize, ReplError> {
         let mut core = self.lock();
         let n = core.standby.apply(bytes)?;
-        let applied = core.standby.applied_lsn();
+        let applied = core.standby.next_lsn();
         core.vol.note_relay_applied(applied);
         Ok(n)
     }
@@ -527,14 +515,10 @@ impl RelayNode {
         self.lock().vol.note_relay_upstream(lsn);
     }
 
-    /// The LSN this relay wants next from its upstream.
+    /// The LSN this relay wants next from its upstream — also the
+    /// count of records applied and servable downstream.
     pub fn next_lsn(&self) -> u64 {
         self.lock().standby.next_lsn()
-    }
-
-    /// The highest LSN applied (and servable downstream) so far.
-    pub fn applied_lsn(&self) -> u64 {
-        self.lock().standby.applied_lsn()
     }
 
     /// This hop's upstream-minus-applied lag.
@@ -639,7 +623,7 @@ fn relay_reply(core: &Arc<Mutex<RelayCore>>, text: &str, replica: &mut bool) -> 
         Request::Ping => {
             let core = core.lock().unwrap_or_else(|e| e.into_inner());
             Reply::Pong {
-                lsn: core.standby.applied_lsn(),
+                lsn: core.standby.next_lsn(),
                 node: NodeRole::Standby,
             }
         }
@@ -850,7 +834,7 @@ mod tests {
 
         // Promoted state is byte-identical: ledgers and digests of all
         // surviving sessions match, as do aggregate counts.
-        let mut promoted = standby.promote();
+        let (mut promoted, _) = standby.promote_parts();
         assert_eq!(promoted.session_ids(), primary.session_ids());
         for id in primary.session_ids() {
             assert_eq!(promoted.ledger(id), primary.ledger(id), "ledger {id}");
@@ -991,7 +975,7 @@ mod tests {
         // and changes nothing.
         let ledger_before = standby.store.ledger(0);
         assert_eq!(standby.apply(&batch).expect("duplicate apply"), 0);
-        assert_eq!(standby.applied_lsn(), 3);
+        assert_eq!(standby.next_lsn(), 3);
         assert_eq!(standby.store.ledger(0), ledger_before);
         // An overlapping batch (middle of the log onward) also skips
         // cleanly; a batch starting beyond the cursor is still a gap.
@@ -1016,7 +1000,7 @@ mod tests {
         let mut standby = Standby::new(cfg(2));
         let (batch, _) = wal.frames_from(0, usize::MAX);
         standby.apply(&batch).expect("replay");
-        let mut promoted = standby.promote();
+        let (mut promoted, _) = standby.promote_parts();
         // A retry of the last pre-failover mutating request, landing on
         // the promoted standby, is answered from the replicated replay
         // window — not re-executed.
@@ -1070,12 +1054,11 @@ mod tests {
 
         // S2: a downstream standby catching up over the wire — the
         // second hop of the chain.
-        let mut s2 = Standby::new(cfg(3));
+        let s2 = RelayNode::start("127.0.0.1:0", cfg(3)).expect("bind s2");
         let mut down = Client::connect(addr, Role::Replica).expect("dial relay");
         assert_eq!(down.node_role(), NodeRole::Standby);
-        down.catch_up(&mut s2, wal.next_lsn())
-            .expect("chain catchup");
-        assert_eq!(s2.applied_lsn(), wal.next_lsn());
+        down.catch_up(&s2, wal.next_lsn()).expect("chain catchup");
+        assert_eq!(s2.next_lsn(), wal.next_lsn());
 
         // Discovery surface: standby role on hello and ping, session
         // traffic refused, pulls gated on the replica role, metrics
@@ -1096,6 +1079,7 @@ mod tests {
         }
         drop(c);
         drop(down);
+        s2.stop();
 
         // Stop → promotion parts: the listener survives still bound to
         // the same address, the retained WAL keeps LSN continuity, and

@@ -1,12 +1,13 @@
 //! WAL-shipping replication over real sockets: a replica-role client
-//! pulls journal frames from a live primary into a warm [`Standby`],
+//! pulls journal frames from a live primary into a warm standby
+//! ([`RelayNode`]),
 //! and promotion yields a store whose observable state — ledgers,
 //! digests, values, even the next session id — is byte-identical to
 //! what the primary was serving.
 
 use small_serve::server::{start, ServerParams};
 use small_serve::session::ServeConfig;
-use small_serve::{Client, Reply, Request, Role, Standby};
+use small_serve::{Client, RelayNode, Reply, Request, Role};
 
 fn cfg() -> ServeConfig {
     ServeConfig {
@@ -68,18 +69,22 @@ fn promoted_standby_serves_the_primary_state() {
     // Ship the whole journal (ledger/digest reads are not journaled,
     // so the WAL holds exactly the opens and evals).
     let mut puller = Client::connect(handle.addr(), Role::Replica).unwrap();
-    let mut standby = Standby::new(ServeConfig {
-        max_resident: 1, // deliberately tighter than the primary
-        ..cfg()
-    });
+    let standby = RelayNode::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_resident: 1, // deliberately tighter than the primary
+            ..cfg()
+        },
+    )
+    .unwrap();
     let target = handle.wal_next_lsn().expect("primary has a WAL");
     assert_eq!(target, 2 + script.len() as u64);
-    puller.catch_up(&mut standby, target).unwrap();
+    puller.catch_up(&standby, target).unwrap();
     drop((c, puller));
     handle.shutdown();
 
     // The survivor answers exactly as the primary did...
-    let mut promoted = standby.promote();
+    let mut promoted = standby.stop().store;
     let replayed: Vec<String> = [a, b]
         .iter()
         .flat_map(|&id| {
@@ -102,10 +107,10 @@ fn incremental_and_bulk_catch_up_converge() {
     let handle = primary();
     let mut c = Client::connect(handle.addr(), Role::Client).unwrap();
     let mut inc_puller = Client::connect(handle.addr(), Role::Replica).unwrap();
-    let mut incremental = Standby::new(cfg());
+    let incremental = RelayNode::start("127.0.0.1:0", cfg()).unwrap();
     let id = c.open().unwrap();
     let target = handle.wal_next_lsn().unwrap();
-    inc_puller.catch_up(&mut incremental, target).unwrap();
+    inc_puller.catch_up(&incremental, target).unwrap();
     for k in 0..12u64 {
         let src = if k == 0 {
             "(setq acc nil)".to_string()
@@ -115,18 +120,18 @@ fn incremental_and_bulk_catch_up_converge() {
         c.request(&Request::Eval { id, seq: None, src }).unwrap();
         // Pull after every single acknowledged request...
         let target = handle.wal_next_lsn().unwrap();
-        inc_puller.catch_up(&mut incremental, target).unwrap();
+        inc_puller.catch_up(&incremental, target).unwrap();
     }
     // ...versus one bulk pull at the end.
     let mut bulk_puller = Client::connect(handle.addr(), Role::Replica).unwrap();
-    let mut bulk = Standby::new(cfg());
+    let bulk = RelayNode::start("127.0.0.1:0", cfg()).unwrap();
     let target = handle.wal_next_lsn().unwrap();
-    bulk_puller.catch_up(&mut bulk, target).unwrap();
+    bulk_puller.catch_up(&bulk, target).unwrap();
     drop((c, inc_puller, bulk_puller));
     handle.shutdown();
 
-    let mut a = incremental.promote();
-    let mut b = bulk.promote();
+    let mut a = incremental.stop().store;
+    let mut b = bulk.stop().store;
     assert_eq!(
         a.apply(&Request::Digest { id }),
         b.apply(&Request::Digest { id })
