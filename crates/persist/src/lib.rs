@@ -141,8 +141,11 @@ impl From<small_heap::ImageError> for PersistError {
 // CRC-32 (IEEE 802.3, reflected)
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables: `CRC32_TABLES[0]` is the classic bytewise
+/// table, and `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so one step can fold 16 input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -155,19 +158,50 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (the IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -1082,6 +1116,7 @@ impl CrashStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use small_metrics::NoopSink;
 
     fn sample_lp_image() -> LpImage {
@@ -1158,11 +1193,55 @@ mod tests {
         }
     }
 
+    /// The textbook one-byte-at-a-time CRC-32, the reference the
+    /// slicing kernel must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Long enough to run the 16-byte block loop and then the tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_a_checkpoint_sized_input() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let big: Vec<u8> = (0..145 * 1024 + 7)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_bytewise(
+            data in prop::collection::vec(any::<u8>(), 0..316),
+            start in 0usize..16,
+            len in 0usize..=300,
+        ) {
+            let start = start.min(data.len());
+            let end = (start + len).min(data.len());
+            let slice = &data[start..end];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     #[test]

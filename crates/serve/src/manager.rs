@@ -22,8 +22,9 @@
 //! Because suspension happens synchronously inside the owning shard's
 //! loop, a suspend is always complete — blob fully written — before
 //! the store can be drained at shutdown. [`SessionStore::verify_suspended`]
-//! makes that checkable: the drain path decodes every suspended blob
-//! and fails loudly if any is torn.
+//! makes that checkable: the drain path resumes every suspended blob
+//! and fails loudly if any is torn or disagrees with the counts
+//! `(stats)` reported for it.
 //!
 //! The store also implements the serial **twin** used by the soak and
 //! failover harnesses: [`SessionStore::apply`] maps any typed
@@ -56,7 +57,14 @@ pub const CLOSED_RETENTION: usize = 64;
 
 enum Slot {
     Resident(Box<Session>),
-    Suspended(Vec<u8>),
+    /// The checkpoint blob plus the event counts the session held when
+    /// it was suspended. A blob is never changed once written, so the
+    /// counts are exactly what decoding it would return; `(stats)`
+    /// reads them here instead of decoding the blob.
+    Suspended {
+        blob: Vec<u8>,
+        counts: EventCounts,
+    },
 }
 
 /// Owns every session pinned to one shard (or, in the serial-twin and
@@ -244,8 +252,12 @@ impl SessionStore {
             // for a drain to race.
             let trace = self.trace.clone();
             let _span = trace.as_ref().map(|(log, tid)| log.span(*tid, "suspend"));
-            self.slots
-                .insert(victim, Slot::Suspended(session.suspend()));
+            // A session between requests has no deferred unroots, so
+            // `suspend` records no further events: these are the
+            // counts it writes into the blob.
+            let counts = session.counts();
+            let blob = session.suspend();
+            self.slots.insert(victim, Slot::Suspended { blob, counts });
             self.evictions += 1;
         }
     }
@@ -272,13 +284,13 @@ impl SessionStore {
                 self.enforce_lru();
                 reply
             }
-            Some(Slot::Suspended(_)) => {
-                let Some(Slot::Suspended(bytes)) = self.slots.remove(&id) else {
+            Some(Slot::Suspended { .. }) => {
+                let Some(Slot::Suspended { blob, .. }) = self.slots.remove(&id) else {
                     unreachable!("matched suspended above");
                 };
                 let trace = self.trace.clone();
                 let resume_span = trace.as_ref().map(|(log, tid)| log.span(*tid, "resume"));
-                let resumed = Session::resume(id, &self.cfg, &bytes);
+                let resumed = Session::resume(id, &self.cfg, &blob);
                 drop(resume_span);
                 match resumed {
                     Ok(mut s) => {
@@ -375,9 +387,9 @@ impl SessionStore {
                     occupancy: occupancy as u64,
                 }
             }
-            Some(Slot::Suspended(bytes)) => {
+            Some(Slot::Suspended { blob, .. }) => {
                 self.touch.remove(&id);
-                match Session::resume(id, &self.cfg, &bytes) {
+                match Session::resume(id, &self.cfg, &blob) {
                     Ok(session) => {
                         let counts = session.counts();
                         let (occupancy, _) = session.close();
@@ -499,19 +511,15 @@ impl SessionStore {
         }
     }
 
-    /// Aggregate event counts across every session — suspended blobs
-    /// are peeked without resurrecting them, retired sessions stay
-    /// included.
+    /// Aggregate event counts across every session — suspended
+    /// sessions contribute the counts cached at suspend, retired
+    /// sessions stay included.
     pub fn aggregate_counts(&self) -> EventCounts {
         let mut total = self.retired;
         for slot in self.slots.values() {
             match slot {
                 Slot::Resident(s) => total.merge(&s.counts()),
-                Slot::Suspended(bytes) => {
-                    if let Ok(c) = Session::peek_counts(bytes) {
-                        total.merge(&c);
-                    }
-                }
+                Slot::Suspended { counts, .. } => total.merge(counts),
             }
         }
         total
@@ -546,18 +554,26 @@ impl SessionStore {
         self.slots.len()
     }
 
-    /// Decode every suspended blob, failing on the first torn one.
-    /// The drain path runs this after the shards stop: because
-    /// suspends are synchronous in the owning shard, shutdown must
-    /// never observe a partially written checkpoint.
+    /// Resume every suspended blob, failing on the first torn one or
+    /// on one whose counts differ from those cached at suspend (which
+    /// `(stats)` reported in its place). The drain path runs this after
+    /// the shards stop: because suspends are synchronous in the owning
+    /// shard, shutdown must never observe a partially written
+    /// checkpoint.
     pub fn verify_suspended(&self) -> Result<usize, PersistError> {
         let mut checked = 0;
         for (id, slot) in &self.slots {
-            if let Slot::Suspended(bytes) = slot {
-                // A full resume (not just a peek) exercises CRC,
-                // version, image decode, and the table audit.
-                let s = Session::resume(*id, &self.cfg, bytes)?;
+            if let Slot::Suspended { blob, counts } = slot {
+                // A full resume exercises CRC, version, image decode,
+                // and the table audit.
+                let s = Session::resume(*id, &self.cfg, blob)?;
+                let resumed = s.counts();
                 let _ = s.close();
+                if resumed != *counts {
+                    return Err(PersistError::CorruptCheckpoint(
+                        "suspended counts differ from the cached counts",
+                    ));
+                }
                 checked += 1;
             }
         }
@@ -571,7 +587,7 @@ impl SessionStore {
             .slots
             .iter()
             .filter_map(|(&id, s)| match s {
-                Slot::Suspended(bytes) => Some((id, bytes.clone())),
+                Slot::Suspended { blob, .. } => Some((id, blob.clone())),
                 Slot::Resident(_) => None,
             })
             .collect();
@@ -686,6 +702,46 @@ mod tests {
         assert_eq!(store.suspended_blobs().len(), 1);
         assert_eq!(store.verify_suspended().expect("clean"), 1);
         let _ = a;
+    }
+
+    #[test]
+    fn stats_counts_match_a_store_that_never_evicts() {
+        let mut thrash = SessionStore::new(cfg(1));
+        let mut roomy = SessionStore::new(cfg(usize::MAX));
+        let ids: Vec<[u64; 2]> = (0..4).map(|_| [thrash.open(), roomy.open()]).collect();
+        for (k, src) in crate::gen::programs_for(11, 0, 24).iter().enumerate() {
+            for (j, [t, r]) in ids.iter().enumerate() {
+                if (k + j) % 3 != 0 {
+                    assert_eq!(thrash.eval(*t, src), roomy.eval(*r, src));
+                }
+            }
+            assert_eq!(
+                thrash.stats_body().counts,
+                roomy.stats_body().counts,
+                "after request {k}"
+            );
+        }
+        let (ev, res) = thrash.eviction_counters();
+        assert!(ev > 0 && res > 0, "cap 1 must thrash: {ev}/{res}");
+        assert_eq!(thrash.verify_suspended().expect("clean"), 3);
+    }
+
+    #[test]
+    fn verify_suspended_rejects_counts_the_blob_does_not_hold() {
+        let mut store = SessionStore::new(cfg(1));
+        let a = store.open();
+        store.eval(a, "(setq acc (cons 1 nil))");
+        let _b = store.open(); // evicts a
+        let Some(Slot::Suspended { counts, .. }) = store.slots.get_mut(&a) else {
+            panic!("a must be suspended");
+        };
+        counts.merge(&counts.clone());
+        assert_eq!(
+            store.verify_suspended(),
+            Err(PersistError::CorruptCheckpoint(
+                "suspended counts differ from the cached counts"
+            ))
+        );
     }
 
     #[test]

@@ -792,6 +792,28 @@ mod tests {
         reply
     }
 
+    /// Pins one encoded frame: its length, its CRC field, and its
+    /// digest. The payload is longer than 16 bytes, so the CRC runs
+    /// through the block loop as well as the tail.
+    #[test]
+    fn wal_frame_bytes_are_pinned() {
+        let mut wal = Wal::new();
+        wal.append(
+            3,
+            WalOp::Eval {
+                seq: Some(5),
+                src: "(setq acc (cons 7 acc))".to_string(),
+            },
+            0xDEAD_BEEF,
+        );
+        let (frame, _) = wal.frames_from(0, usize::MAX);
+        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+        assert_eq!(
+            (frame.len(), crc, digest_bytes(DIGEST_SEED, &frame)),
+            (72, 0x9591_8F9F, 0xAA86_B725_9476_55C3)
+        );
+    }
+
     #[test]
     fn standby_replays_to_identical_state() {
         let mut primary = SessionStore::new(cfg(2));

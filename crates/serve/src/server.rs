@@ -48,7 +48,7 @@ pub struct ServerParams {
     /// virtual-cycle histograms are always on — they cost a few adds
     /// per operation and are deterministic.
     pub wall: bool,
-    /// Record wall-clock spans (accept → decode → run → flush,
+    /// Record wall-clock spans (accept → decode → run → publish → flush,
     /// suspend/resume, WAL ship) for Chrome-trace export at drain.
     pub trace: bool,
 }
@@ -145,7 +145,7 @@ impl DrainOutcome {
         ids
     }
 
-    /// Decode every suspended blob across every shard; the count of
+    /// Resume every suspended blob across every shard; the count of
     /// verified blobs on success, the first damage found otherwise.
     /// This is the teeth behind "drain waits for suspends": a torn
     /// blob here means the drain protocol failed.

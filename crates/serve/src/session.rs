@@ -304,8 +304,7 @@ impl Session {
                 }
             }
         }
-        // Dedup state rides behind the globals so `peek_counts`'s
-        // fixed prefix stays valid.
+        // Dedup state: the next expected seq and the replay window.
         w.put_u64(self.next_seq);
         w.put_u64(self.replay.len() as u64);
         for (seq, reply) in &self.replay {
@@ -395,21 +394,6 @@ impl Session {
             next_seq,
             replay,
         })
-    }
-
-    /// Decode only the event counts from a suspended blob (for `/stats`
-    /// aggregation without resurrecting the machine).
-    pub fn peek_counts(bytes: &[u8]) -> Result<EventCounts, PersistError> {
-        let corrupt = PersistError::CorruptCheckpoint;
-        let ckpt = decode_checkpoint(bytes)?;
-        let mut r = ByteReader::new(&ckpt.driver);
-        r.u64().map_err(corrupt)?;
-        r.u64().map_err(corrupt)?;
-        let mut words = [0u64; 22];
-        for word in &mut words {
-            *word = r.u64().map_err(corrupt)?;
-        }
-        Ok(EventCounts::from_words(&words))
     }
 
     /// A typed error reply for a persist failure on this path (exposed
@@ -578,5 +562,28 @@ mod tests {
         assert!(Session::resume(1, &c, &blob).is_err());
         let short = &blob[..blob.len() / 3];
         assert!(Session::resume(1, &c, short).is_err());
+    }
+
+    /// Pins the bytes of one suspend blob, sized as the benchmark's
+    /// evicting workload sizes a session (384-entry LPT, 8,192-cell
+    /// heap). Any change to the checkpoint encoding, or to the CRC that
+    /// seals it, shows up here.
+    #[test]
+    fn suspend_blob_bytes_are_pinned() {
+        let c = ServeConfig {
+            table_size: 384,
+            heap_cells: 1 << 13,
+            max_resident: 1,
+            ..ServeConfig::default()
+        };
+        let mut s = Session::new(0, &c);
+        for src in crate::gen::programs_for(7, 0, 64) {
+            s.eval(&src);
+        }
+        let blob = s.suspend();
+        assert_eq!(
+            (blob.len(), digest_bytes(DIGEST_SEED, &blob)),
+            (144_696, 0xBC32_F023_6A50_D5D2)
+        );
     }
 }

@@ -441,6 +441,7 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
     // reply: a client that sees an acknowledgement and immediately asks
     // `(stats)` or `(metrics)` on another shard gets counters that
     // already include its request.
+    let span = shared.trace.as_ref().map(|log| log.span(tid, "publish"));
     *shared.stats[me].lock().unwrap_or_else(|e| e.into_inner()) = store.stats_body();
     *shared.telemetry[me]
         .lock()
@@ -452,6 +453,7 @@ fn run_queue_jobs(me: usize, store: &mut SessionStore, shared: &SharedState) -> 
             .wal_appended
             .add(wal_appends);
     }
+    drop(span);
     for (outbox, seq, reply) in completions {
         outbox.complete(seq, &reply);
     }

@@ -454,11 +454,11 @@ pub struct SpanRec {
 }
 
 /// A shared wall-clock span log: shard loops and session stores record
-/// accept → decode → run → flush, suspend/resume/checkpoint, and WAL
-/// shipping spans into it; at drain it exports Chrome Trace JSON (open
-/// it in `chrome://tracing` or Perfetto) and folded stacks. Purely an
-/// artifact surface — wall timestamps are machine-dependent, so traces
-/// are never byte-compared.
+/// accept → decode → run → publish → flush, suspend/resume/checkpoint,
+/// and WAL shipping spans into it; at drain it exports Chrome Trace
+/// JSON (open it in `chrome://tracing` or Perfetto) and folded stacks.
+/// Purely an artifact surface — wall timestamps are machine-dependent,
+/// so traces are never byte-compared.
 #[derive(Debug)]
 pub struct TraceLog {
     epoch: Instant,
