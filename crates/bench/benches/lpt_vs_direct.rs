@@ -9,7 +9,7 @@ use small_heap::controller::TwoPointerController;
 use small_heap::{FaultyController, HeapController};
 use small_lisp::compiler::compile_program;
 use small_lisp::vm::{DirectBackend, Vm};
-use small_metrics::{CountingSink, EventSink, NoopSink};
+use small_metrics::{EventSink, NoopSink};
 use small_profile::SpanSink;
 use small_sexpr::Interner;
 use std::hint::black_box;
@@ -86,8 +86,9 @@ fn bench_lp_primitives(c: &mut Criterion) {
 }
 
 /// Instrumentation overhead: the same cons/car/release loop on an LP
-/// with the default [`NoopSink`] (events monomorphize to nothing), a
-/// [`CountingSink`], and the profiler's [`SpanSink`] in both states.
+/// with the default [`NoopSink`] (sink calls monomorphize to nothing;
+/// the LP's own count block stays on) and the profiler's [`SpanSink`]
+/// in both states.
 /// The Noop case must be indistinguishable from the
 /// pre-instrumentation baseline, and `SpanSink::<false>` (disabled)
 /// must be within noise of Noop — its `if !ACTIVE` guards are resolved
@@ -116,14 +117,6 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             TwoPointerController::new(1 << 16, 64),
             LpConfig::default(),
             NoopSink,
-        );
-        b.iter(|| black_box(workload(&mut lp)))
-    });
-    group.bench_function("counting_sink", |b| {
-        let mut lp = ListProcessor::with_sink(
-            TwoPointerController::new(1 << 16, 64),
-            LpConfig::default(),
-            CountingSink::default(),
         );
         b.iter(|| black_box(workload(&mut lp)))
     });

@@ -169,9 +169,8 @@ impl CaseOutcome {
 /// differ from workload RNG streams but stay reproducible.
 pub fn run_case(trace: &Trace, params: SimParams, severity: Severity) -> CaseOutcome {
     let seed = params.seed;
-    let plan = severity.plan(seed ^ 0x00C0_FFEE_F00D_CAFE);
     let clean = run_sim(trace, params, None);
-    let controller = FaultyController::new(TwoPointerController::new(params.heap_cells, 256), plan);
+    let controller = faulty_controller(params, severity);
     let (faulty, mut controller, _sink) =
         run_sim_on_controller(trace, params, None, controller, NoopSink);
     // Close the injection window: every withheld free must reach the
@@ -189,6 +188,16 @@ pub fn run_case(trace: &Trace, params: SimParams, severity: Severity) -> CaseOut
         delayed_frees: fs.delayed_frees,
         flushed_frees: fs.flushed_frees,
     }
+}
+
+/// The fault-injecting controller a case runs over, with its schedule
+/// seeded from a fixed mix of the workload seed.
+fn faulty_controller(
+    params: SimParams,
+    severity: Severity,
+) -> FaultyController<TwoPointerController> {
+    let plan = severity.plan(params.seed ^ 0x00C0_FFEE_F00D_CAFE);
+    FaultyController::new(TwoPointerController::new(params.heap_cells, 256), plan)
 }
 
 /// The outcome of a whole seeded chaos campaign.
@@ -297,6 +306,7 @@ pub fn preset_params() -> (SimParams, SimParams) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use small_metrics::{Event, FnSink};
     use small_workloads::synthetic;
 
     fn trace(prims: usize) -> Trace {
@@ -313,6 +323,32 @@ mod tests {
         assert!(c.injected > 0, "the schedule must actually inject");
         assert!(c.pass(), "{c:?}");
         assert!(c.matches_clean(), "{c:?}");
+    }
+
+    /// A transient merge fault can abandon a compression pass after it
+    /// flushed entries. The pass must still report them: compression
+    /// only runs on an empty free list, so each `PseudoOverflow` must
+    /// reclaim exactly the frees since the last allocation, and the
+    /// reports must sum to the ledger's `compressed`. Runs the chaos
+    /// bin's degrade case at seed 11, where a pass is abandoned.
+    #[test]
+    fn abandoned_compression_reports_every_flushed_entry() {
+        let params = preset_params().1.with_seed(11);
+        let (mut since_alloc, mut reported, mut misreports) = (0u64, 0u64, 0u32);
+        let sink = FnSink(|e: Event| match e {
+            Event::EntryAllocated => since_alloc = 0,
+            Event::EntryFreed => since_alloc += 1,
+            Event::PseudoOverflow { reclaimed } => {
+                reported += u64::from(reclaimed);
+                misreports += u32::from(u64::from(reclaimed) != since_alloc);
+            }
+            _ => {}
+        });
+        let controller = faulty_controller(params, Severity::Standard);
+        let (r, _, _) = run_sim_on_controller(&trace(2000), params, None, controller, sink);
+        assert!(r.lpt.faults_detected > 0 && r.lpt.pseudo_overflows > 0);
+        assert_eq!(misreports, 0, "a pass under-reported its reclaimed entries");
+        assert_eq!(reported, r.lpt.compressed);
     }
 
     #[test]

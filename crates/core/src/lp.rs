@@ -57,10 +57,15 @@
 //! cycle collections, lazy-decrement drains, occupancy samples, and all
 //! heap-controller traffic (the LP is the single chokepoint through
 //! which split/merge/read-in/free requests flow).
+//!
+//! Whatever the sink, the processor counts every event it emits in one
+//! always-on [`EventCounts`] block ([`ListProcessor::counts`]); the
+//! [`LptStats`] ledger is derived from that block, so each count has
+//! exactly one source.
 
 use small_heap::controller::{HeapController, HeapError};
 use small_heap::{Tag, Word};
-use small_metrics::{Event, EventSink, NoopSink, OpClass, PrimKind};
+use small_metrics::{Event, EventCounts, EventSink, NoopSink, OpClass, PrimKind};
 use small_sexpr::SExpr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -227,7 +232,10 @@ impl Default for LpConfig {
     }
 }
 
-/// LP/LPT activity counters (Tables 5.2–5.4).
+/// LP/LPT activity counters (Tables 5.2–5.4), derived by
+/// [`ListProcessor::stats`] from the processor's [`EventCounts`] block
+/// plus the five values that are not event counts (the occupancy peak
+/// and sum, the two reference-count peaks, and heap-direct operations).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LptStats {
     /// Reference-count updates performed in the LPT (EP–LP bus traffic).
@@ -275,6 +283,83 @@ pub struct LptStats {
 }
 
 impl LptStats {
+    /// The event counts this ledger carries, as a count block; the
+    /// seven kinds it does not carry (lazy drains and their children,
+    /// true overflows, heap splits, merges, read-ins and frees) read 0.
+    fn event_counts(&self) -> EventCounts {
+        let mut c = EventCounts::default();
+        c.refops.add(self.refops);
+        c.ep_refops.add(self.ep_refops);
+        c.entries_allocated.add(self.gets);
+        c.entries_freed.add(self.frees);
+        c.lpt_hits.add(self.hits);
+        c.lpt_misses.add(self.misses);
+        c.pseudo_overflows.add(self.pseudo_overflows);
+        c.compressed.add(self.compressed);
+        c.cycle_collections.add(self.cycle_collections);
+        c.cycles_reclaimed.add(self.cycles_reclaimed);
+        c.occupancy_samples.add(self.occupancy_samples);
+        c.heap_faults_detected.add(self.faults_detected);
+        c.heap_faults_recovered.add(self.faults_recovered);
+        c.overflow_mode_entries.add(self.overflow_entries);
+        c.overflow_mode_exits.add(self.overflow_exits);
+        c
+    }
+
+    /// The ledger as 20 words in field order: the one encoding that
+    /// checkpoint images and `(ledger)` replies share.
+    pub fn to_words(&self) -> [u64; 20] {
+        [
+            self.refops,
+            self.ep_refops,
+            self.gets,
+            self.frees,
+            self.hits,
+            self.misses,
+            self.pseudo_overflows,
+            self.compressed,
+            self.cycle_collections,
+            self.cycles_reclaimed,
+            self.max_occupancy as u64,
+            self.occupancy_sum,
+            self.occupancy_samples,
+            u64::from(self.max_refcount),
+            u64::from(self.max_ep_refcount),
+            self.faults_detected,
+            self.faults_recovered,
+            self.overflow_entries,
+            self.overflow_exits,
+            self.heap_direct_ops,
+        ]
+    }
+
+    /// Rebuild a ledger from [`LptStats::to_words`] output; `None` when
+    /// a peak word does not fit its field.
+    pub fn from_words(w: &[u64; 20]) -> Option<LptStats> {
+        Some(LptStats {
+            refops: w[0],
+            ep_refops: w[1],
+            gets: w[2],
+            frees: w[3],
+            hits: w[4],
+            misses: w[5],
+            pseudo_overflows: w[6],
+            compressed: w[7],
+            cycle_collections: w[8],
+            cycles_reclaimed: w[9],
+            max_occupancy: usize::try_from(w[10]).ok()?,
+            occupancy_sum: w[11],
+            occupancy_samples: w[12],
+            max_refcount: u32::try_from(w[13]).ok()?,
+            max_ep_refcount: u32::try_from(w[14]).ok()?,
+            faults_detected: w[15],
+            faults_recovered: w[16],
+            overflow_entries: w[17],
+            overflow_exits: w[18],
+            heap_direct_ops: w[19],
+        })
+    }
+
     /// Average occupancy over the run.
     pub fn avg_occupancy(&self) -> f64 {
         if self.occupancy_samples == 0 {
@@ -743,6 +828,46 @@ pub struct LptCacheStats {
     pub misses: u64,
 }
 
+/// The [`LptStats`] values that are not event counts.
+#[derive(Debug, Default, Clone, Copy)]
+struct Gauges {
+    max_occupancy: usize,
+    occupancy_sum: u64,
+    max_refcount: u32,
+    max_ep_refcount: u32,
+    /// Operations served heap-direct; they emit no event of their own.
+    heap_direct_ops: u64,
+}
+
+impl Gauges {
+    /// The ledger these gauges and the event counts `c` make.
+    #[inline]
+    fn ledger(&self, c: &EventCounts) -> LptStats {
+        LptStats {
+            refops: c.refops.get(),
+            ep_refops: c.ep_refops.get(),
+            gets: c.entries_allocated.get(),
+            frees: c.entries_freed.get(),
+            hits: c.lpt_hits.get(),
+            misses: c.lpt_misses.get(),
+            pseudo_overflows: c.pseudo_overflows.get(),
+            compressed: c.compressed.get(),
+            cycle_collections: c.cycle_collections.get(),
+            cycles_reclaimed: c.cycles_reclaimed.get(),
+            max_occupancy: self.max_occupancy,
+            occupancy_sum: self.occupancy_sum,
+            occupancy_samples: c.occupancy_samples.get(),
+            max_refcount: self.max_refcount,
+            max_ep_refcount: self.max_ep_refcount,
+            faults_detected: c.heap_faults_detected.get(),
+            faults_recovered: c.heap_faults_recovered.get(),
+            overflow_entries: c.overflow_mode_entries.get(),
+            overflow_exits: c.overflow_mode_exits.get(),
+            heap_direct_ops: self.heap_direct_ops,
+        }
+    }
+}
+
 /// The List Processor: the LPT plus the algorithms that manage it,
 /// fronting a heap controller and reporting to an event sink.
 pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
@@ -754,7 +879,9 @@ pub struct ListProcessor<C: HeapController, S: EventSink = NoopSink> {
     free_tail: Option<Id>,
     live: usize,
     config: LpConfig,
-    stats: LptStats,
+    /// Every emitted event, counted (see [`Self::emit`]).
+    counts: EventCounts,
+    gauges: Gauges,
     sink: S,
     /// EP-side stack reference counts (split mode). Conceptually this
     /// table lives in the EP (§5.2.4); it is held here so the LP API is
@@ -804,7 +931,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             free_tail: None,
             live: 0,
             config,
-            stats: LptStats::default(),
+            counts: EventCounts::default(),
+            gauges: Gauges::default(),
             sink,
             ep_counts: fxhash::FxHashMap::default(),
             recent_overflows: std::collections::VecDeque::new(),
@@ -826,9 +954,38 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         lp
     }
 
-    /// Activity counters.
+    /// Activity counters, derived from [`Self::counts`].
     pub fn stats(&self) -> LptStats {
-        self.stats
+        self.gauges.ledger(&self.counts)
+    }
+
+    /// The event counts: every [`Event`] this processor has emitted,
+    /// counted whatever the sink. The only tally of them.
+    pub fn counts(&self) -> EventCounts {
+        self.counts
+    }
+
+    /// Adopt a persisted count block (a suspended session's words) into
+    /// a processor restored by [`Self::from_image`]. The image restored
+    /// the fifteen counts [`LptStats`] carries, and `saved` must agree
+    /// with them: on any difference nothing is adopted and `false` is
+    /// returned. The seven counts the image does not carry are taken
+    /// from `saved`.
+    #[must_use]
+    pub fn restore_counts(&mut self, saved: EventCounts) -> bool {
+        if self.gauges.ledger(&saved) != self.stats() {
+            return false;
+        }
+        self.counts = saved;
+        true
+    }
+
+    /// Count `event`, then hand it to the sink: the one place an event
+    /// is tallied.
+    #[inline]
+    fn emit(&mut self, event: Event) {
+        self.counts.record(event);
+        self.sink.record(event);
     }
 
     /// The event sink.
@@ -876,8 +1033,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             match f(self) {
                 Err(LpError::Heap(HeapError::Transient)) => {
                     failures += 1;
-                    self.stats.faults_detected += 1;
-                    self.sink.record(Event::HeapFaultDetected);
+                    self.emit(Event::HeapFaultDetected);
                     if failures > TRANSIENT_RETRY_LIMIT {
                         return Err(LpError::Heap(HeapError::Transient));
                     }
@@ -889,9 +1045,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 }
                 r => {
                     if failures > 0 && r.is_ok() {
-                        self.stats.faults_recovered += u64::from(failures);
                         for _ in 0..failures {
-                            self.sink.record(Event::HeapFaultRecovered);
+                            self.emit(Event::HeapFaultRecovered);
                         }
                     }
                     return r;
@@ -905,8 +1060,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if !self.degraded {
             self.degraded = true;
             self.cache_clear();
-            self.stats.overflow_entries += 1;
-            self.sink.record(Event::OverflowModeEntered);
+            self.emit(Event::OverflowModeEntered);
         }
     }
 
@@ -916,8 +1070,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if self.degraded && self.live <= self.config.table_size / 2 {
             self.degraded = false;
             self.cache_clear();
-            self.stats.overflow_exits += 1;
-            self.sink.record(Event::OverflowModeExited);
+            self.emit(Event::OverflowModeExited);
         }
     }
 
@@ -1058,10 +1211,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     fn sample_occupancy(&mut self) {
         #[cfg(feature = "lp-debug")]
         self.audit("sample");
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.live);
-        self.stats.occupancy_sum += self.live as u64;
-        self.stats.occupancy_samples += 1;
-        self.sink.record(Event::Occupancy {
+        self.gauges.max_occupancy = self.gauges.max_occupancy.max(self.live);
+        self.gauges.occupancy_sum += self.live as u64;
+        self.emit(Event::Occupancy {
             live: self.live as u32,
         });
     }
@@ -1071,19 +1223,17 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     // -----------------------------------------------------------------
 
     fn incref(&mut self, id: Id) {
-        self.stats.refops += 1;
-        self.sink.record(Event::RefOp);
+        self.emit(Event::RefOp);
         let e = &mut self.entries[id as usize];
         debug_assert!(e.live, "incref of dead entry {id}");
         e.rc += 1;
-        self.stats.max_refcount = self.stats.max_refcount.max(e.rc);
+        self.gauges.max_refcount = self.gauges.max_refcount.max(e.rc);
     }
 
     fn decref(&mut self, id: Id) {
         #[cfg(feature = "lp-debug")]
         self.audit("pre-decref");
-        self.stats.refops += 1;
-        self.sink.record(Event::RefOp);
+        self.emit(Event::RefOp);
         let e = &mut self.entries[id as usize];
         debug_assert!(e.live, "decref of dead entry {id}");
         debug_assert!(e.rc > 0, "decref of zero-count entry {id}");
@@ -1122,17 +1272,15 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         match self.config.refcounts {
             RefcountMode::Unified => self.incref(id),
             RefcountMode::Split => {
-                self.stats.ep_refops += 1;
-                self.sink.record(Event::EpRefOp);
+                self.emit(Event::EpRefOp);
                 let c = self.ep_counts.entry(id).or_insert(0);
                 *c += 1;
-                self.stats.max_ep_refcount = self.stats.max_ep_refcount.max(*c);
+                self.gauges.max_ep_refcount = self.gauges.max_ep_refcount.max(*c);
                 let e = &mut self.entries[id as usize];
                 if !e.stack_bit {
                     // First stack reference: one message to set the bit.
                     e.stack_bit = true;
-                    self.stats.refops += 1;
-                    self.sink.record(Event::RefOp);
+                    self.emit(Event::RefOp);
                 }
             }
         }
@@ -1146,8 +1294,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         match self.config.refcounts {
             RefcountMode::Unified => self.decref(id),
             RefcountMode::Split => {
-                self.stats.ep_refops += 1;
-                self.sink.record(Event::EpRefOp);
+                self.emit(Event::EpRefOp);
                 let c = self
                     .ep_counts
                     .get_mut(&id)
@@ -1158,8 +1305,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                     self.ep_counts.remove(&id);
                     // The last stack reference died: one message to the
                     // LP to clear the StackBit (§5.2.4).
-                    self.stats.refops += 1;
-                    self.sink.record(Event::RefOp);
+                    self.emit(Event::RefOp);
                     let e = &mut self.entries[id as usize];
                     e.stack_bit = false;
                     if e.rc == 0 {
@@ -1256,7 +1402,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if let Field::Atom(w) = f {
             if is_ptr_word(w) {
                 self.controller.free_object(w.addr());
-                self.sink.record(Event::HeapFree);
+                self.emit(Event::HeapFree);
             }
         }
     }
@@ -1303,8 +1449,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         // Any line may name the freed entry (as the tagged id or as a
         // cached Obj child), and its id is about to be reusable.
         self.cache_clear();
-        self.stats.frees += 1;
-        self.sink.record(Event::EntryFreed);
+        self.emit(Event::EntryFreed);
         let e = &mut self.entries[id as usize];
         debug_assert!(e.live);
         e.live = false;
@@ -1312,7 +1457,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if let Some(addr) = e.addr.take() {
             // Signal the heap controller to reclaim the object.
             self.controller.free_object(addr);
-            self.sink.record(Event::HeapFree);
+            self.emit(Event::HeapFree);
         }
         match self.config.decrement {
             DecrementPolicy::Lazy => {
@@ -1359,13 +1504,12 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             ..Entry::default()
         };
         self.live += 1;
-        self.stats.gets += 1;
-        self.sink.record(Event::EntryAllocated);
+        self.emit(Event::EntryAllocated);
         if lazy {
             // Deferred child decrements happen now (§4.3.2.1).
             let children =
                 matches!(car, Field::Obj(_)) as u32 + matches!(cdr, Field::Obj(_)) as u32;
-            self.sink.record(Event::LazyDrain { children });
+            self.emit(Event::LazyDrain { children });
             for f in [car, cdr] {
                 match f {
                     Field::Obj(c) => self.decref(c),
@@ -1382,11 +1526,10 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             return Ok(id);
         }
         // Pseudo overflow: compress.
-        self.stats.pseudo_overflows += 1;
         self.recent_overflows
-            .push_back(self.stats.occupancy_samples);
+            .push_back(self.counts.occupancy_samples.get());
         let freed = self.compress();
-        self.sink.record(Event::PseudoOverflow {
+        self.emit(Event::PseudoOverflow {
             reclaimed: freed as u32,
         });
         #[cfg(feature = "lp-debug")]
@@ -1398,19 +1541,17 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             }
         }
         // True overflow: break cycles.
-        self.stats.cycle_collections += 1;
         let reclaimed = self.break_cycles();
-        self.sink.record(Event::CycleCollection {
+        self.emit(Event::CycleCollection {
             reclaimed: reclaimed as u32,
         });
         #[cfg(feature = "lp-debug")]
         self.audit("post-break-cycles");
-        self.stats.cycles_reclaimed += reclaimed as u64;
         if let Some(id) = self.try_pop_free() {
             self.sample_occupancy();
             return Ok(id);
         }
-        self.sink.record(Event::TrueOverflow);
+        self.emit(Event::TrueOverflow);
         Err(LpError::TrueOverflow)
     }
 
@@ -1473,7 +1614,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                         let dw = self.flush_field(cdr)?;
                         self.entries[c as usize].cdr = Field::Atom(dw);
                         let merged = self.controller.merge(cw, dw)?;
-                        self.sink.record(Event::HeapMerge);
+                        self.emit(Event::HeapMerge);
                         Word::ptr(merged)
                     }
                 };
@@ -1486,7 +1627,6 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 e.cdr = Field::Empty;
                 e.rc = 0;
                 self.free_entry(c);
-                self.stats.compressed += 1;
                 Ok(word)
             }
             Field::Empty => unreachable!("flush of empty field"),
@@ -1502,9 +1642,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         // then fields → address) beyond the frees that already clear
         // the cache; drop everything up front.
         self.cache_clear();
-        let mut total = 0usize;
+        let start = self.counts.entries_freed.get();
         loop {
-            let mut freed_this_pass = 0usize;
+            let pass_start = self.counts.entries_freed.get();
             for id in 0..self.entries.len() as Id {
                 let e = &self.entries[id as usize];
                 if !e.live || e.addr.is_some() || self.pin == Some(id) {
@@ -1521,10 +1661,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 if !self.flushable(fcar, &mut path) || !self.flushable(fcdr, &mut path) {
                     continue;
                 }
-                let frees_before = self.stats.frees;
                 let car_w = match self.flush_field(fcar) {
                     Ok(w) => w,
-                    Err(e) => return self.abandon_compress(e, total),
+                    Err(e) => return self.abandon_compress(e, start),
                 };
                 // Park flushed words eagerly (see `flush_field`): a
                 // failure on the other field must find this one
@@ -1532,44 +1671,49 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 self.entries[id as usize].car = Field::Atom(car_w);
                 let cdr_w = match self.flush_field(fcdr) {
                     Ok(w) => w,
-                    Err(e) => return self.abandon_compress(e, total),
+                    Err(e) => return self.abandon_compress(e, start),
                 };
                 self.entries[id as usize].cdr = Field::Atom(cdr_w);
                 let addr = match self.controller.merge(car_w, cdr_w) {
                     Ok(a) => a,
-                    Err(e) => return self.abandon_compress(e.into(), total),
+                    Err(e) => return self.abandon_compress(e.into(), start),
                 };
-                self.sink.record(Event::HeapMerge);
+                self.emit(Event::HeapMerge);
                 let e = &mut self.entries[id as usize];
                 e.car = Field::Empty;
                 e.cdr = Field::Empty;
                 e.addr = Some(addr);
-                freed_this_pass += (self.stats.frees - frees_before) as usize;
-                if self.stop_after_one() && freed_this_pass > 0 {
-                    return total + freed_this_pass;
+                if self.stop_after_one() && self.freed_since(pass_start) > 0 {
+                    return self.freed_since(start);
                 }
             }
-            total += freed_this_pass;
-            if freed_this_pass == 0 {
-                return total;
+            if self.freed_since(pass_start) == 0 {
+                return self.freed_since(start);
             }
             // Compress-All iterates to a fixpoint: compressing children
             // can make parents compressible.
         }
     }
 
+    /// Entries freed since the free count stood at `frees`. Inside
+    /// [`Self::compress`] every free is a flushed entry.
+    fn freed_since(&self, frees: u64) -> usize {
+        (self.counts.entries_freed.get() - frees) as usize
+    }
+
     /// Abandon a compression pass on a heap error, keeping whatever it
-    /// reclaimed so far. A transient fault handled this way counts as
-    /// both detected and recovered: the pass carried on consistently
-    /// without it (the merge is simply retried at the next overflow).
-    fn abandon_compress(&mut self, e: LpError, total: usize) -> usize {
+    /// reclaimed so far: every entry freed since `compress` began at
+    /// free count `start`, the interrupted pass's flushes included (they
+    /// are already back on the free list). A transient fault handled
+    /// this way counts as both detected and recovered: the pass carried
+    /// on consistently without it (the merge is simply retried at the
+    /// next overflow).
+    fn abandon_compress(&mut self, e: LpError, start: u64) -> usize {
         if matches!(e, LpError::Heap(HeapError::Transient)) {
-            self.stats.faults_detected += 1;
-            self.stats.faults_recovered += 1;
-            self.sink.record(Event::HeapFaultDetected);
-            self.sink.record(Event::HeapFaultRecovered);
+            self.emit(Event::HeapFaultDetected);
+            self.emit(Event::HeapFaultRecovered);
         }
-        total
+        self.freed_since(start)
     }
 
     /// Whether the current (possibly hybrid) policy stops after freeing
@@ -1579,7 +1723,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             CompressPolicy::CompressOne => true,
             CompressPolicy::CompressAll => false,
             CompressPolicy::Hybrid { threshold, window } => {
-                let now = self.stats.occupancy_samples;
+                let now = self.counts.occupancy_samples.get();
                 while let Some(&t) = self.recent_overflows.front() {
                     if now.saturating_sub(t) > window {
                         self.recent_overflows.pop_front();
@@ -1699,11 +1843,11 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             self.binding_release(v);
         }
         let w = self.controller.read_in(expr)?;
-        self.sink.record(Event::HeapReadIn);
+        self.emit(Event::HeapReadIn);
         if self.degraded && is_ptr_word(w) {
             // Overflow mode: the object stays heap-side and the EP
             // names it by address, like a conventional machine.
-            self.stats.heap_direct_ops += 1;
+            self.gauges.heap_direct_ops += 1;
             return Ok(LpValue::Atom(w));
         }
         let v = match self.word_to_value(w) {
@@ -1712,7 +1856,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 if self.config.overflow == OverflowPolicy::Degrade && is_ptr_word(w) =>
             {
                 self.enter_degraded();
-                self.stats.heap_direct_ops += 1;
+                self.gauges.heap_direct_ops += 1;
                 return Ok(LpValue::Atom(w));
             }
             Err(e) => return Err(e),
@@ -1732,11 +1876,10 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             let e = &mut self.entries[id as usize];
             e.rc -= 1;
             e.stack_bit = true;
-            self.stats.ep_refops += 1;
-            self.sink.record(Event::EpRefOp);
+            self.emit(Event::EpRefOp);
             let c = self.ep_counts.entry(id).or_insert(0);
             *c += 1;
-            self.stats.max_ep_refcount = self.stats.max_ep_refcount.max(*c);
+            self.gauges.max_ep_refcount = self.gauges.max_ep_refcount.max(*c);
         }
     }
 
@@ -1769,9 +1912,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             e.car = Field::Atom(split.car);
             e.cdr = Field::Atom(split.cdr);
         }
-        self.stats.misses += 1;
-        self.sink.record(Event::LptMiss);
-        self.sink.record(Event::HeapSplit);
+        self.emit(Event::LptMiss);
+        self.emit(Event::HeapSplit);
         // Pin the entry: materialize can trigger a compression pass
         // (or cycle break) that would otherwise flush the parked
         // fields out from under us, leaving a torn entry.
@@ -1876,7 +2018,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// entries (the table does not own that structure).
     fn heap_direct_access(&mut self, w: Word, want_car: bool) -> Result<LpValue, LpError> {
         let split = self.controller.peek(w.addr())?;
-        self.stats.heap_direct_ops += 1;
+        self.gauges.heap_direct_ops += 1;
         let piece = if want_car { split.car } else { split.cdr };
         match piece.tag() {
             Tag::Nil | Tag::Int | Tag::Sym | Tag::Ptr | Tag::Invisible => Ok(LpValue::Atom(piece)),
@@ -1890,9 +2032,9 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
     /// miss-counter delta.
     fn timed_access(&mut self, id: Id, want_car: bool, prim: PrimKind) -> Result<LpValue, LpError> {
         self.sink.op_begin(prim);
-        let misses_before = self.stats.misses;
+        let misses_before = self.counts.lpt_misses.get();
         let r = self.access(id, want_car);
-        let class = if self.stats.misses > misses_before {
+        let class = if self.counts.lpt_misses.get() > misses_before {
             OpClass::AccessMiss
         } else {
             OpClass::AccessHit
@@ -1912,8 +2054,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             debug_assert!(self.entries[id as usize].live, "access of dead entry {id}");
             self.cache_stats.hits += 1;
             self.sink.cache_probe(true);
-            self.stats.hits += 1;
-            self.sink.record(Event::LptHit);
+            self.emit(Event::LptHit);
             let v = match if want_car { car } else { cdr } {
                 Field::Atom(w) => LpValue::Atom(w),
                 Field::Obj(c) => LpValue::Obj(c),
@@ -1935,8 +2076,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         if field == Field::Empty {
             self.ensure_fields(id)?;
         } else {
-            self.stats.hits += 1;
-            self.sink.record(Event::LptHit);
+            self.emit(Event::LptHit);
         }
         let e = &self.entries[id as usize];
         let v = match if want_car { e.car } else { e.cdr } {
@@ -1969,8 +2109,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                         self.enter_degraded();
                         let expr = self.controller.extract(w);
                         let copy = self.controller.read_in(&expr)?;
-                        self.sink.record(Event::HeapReadIn);
-                        self.stats.heap_direct_ops += 1;
+                        self.emit(Event::HeapReadIn);
+                        self.gauges.heap_direct_ops += 1;
                         LpValue::Atom(copy)
                     }
                     Err(e) => return Err(e),
@@ -2049,8 +2189,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             LpValue::Atom(w) if is_ptr_word(w) => {
                 let expr = self.controller.extract(w);
                 let copy = self.controller.read_in(&expr)?;
-                self.sink.record(Event::HeapReadIn);
-                self.stats.heap_direct_ops += 1;
+                self.emit(Event::HeapReadIn);
+                self.gauges.heap_direct_ops += 1;
                 Ok(LpValue::Atom(copy))
             }
             v => Ok(v),
@@ -2066,8 +2206,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
         let cw = self.direct_word(car)?;
         let dw = self.direct_word(cdr)?;
         let addr = self.controller.merge(cw, dw)?;
-        self.sink.record(Event::HeapMerge);
-        self.stats.heap_direct_ops += 1;
+        self.emit(Event::HeapMerge);
+        self.gauges.heap_direct_ops += 1;
         self.sample_occupancy();
         Ok(LpValue::Atom(Word::ptr(addr)))
     }
@@ -2080,8 +2220,8 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 // world; the entry keeps its structure and refcounts.
                 let expr = self.writelist_inner(LpValue::Obj(id), &mut Vec::new())?;
                 let w = self.controller.read_in(&expr)?;
-                self.sink.record(Event::HeapReadIn);
-                self.stats.heap_direct_ops += 1;
+                self.emit(Event::HeapReadIn);
+                self.gauges.heap_direct_ops += 1;
                 Ok(w)
             }
         }
@@ -2280,7 +2420,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
                 let children =
                     matches!(car, Field::Obj(_)) as u32 + matches!(cdr, Field::Obj(_)) as u32;
                 if children > 0 {
-                    self.sink.record(Event::LazyDrain { children });
+                    self.emit(Event::LazyDrain { children });
                 }
                 for f in [car, cdr] {
                     match f {
@@ -2641,7 +2781,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             };
             if let Some(a) = addr {
                 self.controller.free_object(a);
-                self.sink.record(Event::HeapFree);
+                self.emit(Event::HeapFree);
             }
             for f in [car, cdr] {
                 self.free_field_word(f);
@@ -2778,7 +2918,7 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             degraded: self.degraded,
             ep_counts,
             recent_overflows: self.recent_overflows.iter().copied().collect(),
-            stats: self.stats,
+            stats: self.stats(),
         }
     }
 
@@ -2851,7 +2991,14 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
             free_tail: image.free_tail,
             live,
             config,
-            stats: image.stats,
+            counts: image.stats.event_counts(),
+            gauges: Gauges {
+                max_occupancy: image.stats.max_occupancy,
+                occupancy_sum: image.stats.occupancy_sum,
+                max_refcount: image.stats.max_refcount,
+                max_ep_refcount: image.stats.max_ep_refcount,
+                heap_direct_ops: image.stats.heap_direct_ops,
+            },
             sink,
             ep_counts,
             recent_overflows: image.recent_overflows.iter().copied().collect(),
@@ -2873,7 +3020,6 @@ impl<C: HeapController, S: EventSink> ListProcessor<C, S> {
 mod tests {
     use super::*;
     use small_heap::controller::TwoPointerController;
-    use small_metrics::CountingSink;
     use small_sexpr::{parse, print, Interner};
 
     type Lp = ListProcessor<TwoPointerController>;
@@ -3420,34 +3566,6 @@ mod tests {
         let h = lp.root(a);
         drop(lp);
         drop(h); // must not panic
-    }
-
-    #[test]
-    fn sink_events_mirror_stats() {
-        let mut i = Interner::new();
-        let mut lp = ListProcessor::with_sink(
-            TwoPointerController::new(8192, 64),
-            LpConfig {
-                table_size: 128,
-                ..LpConfig::default()
-            },
-            CountingSink::default(),
-        );
-        let v = read(&mut lp, &mut i, "((a) b c)");
-        let id = v.obj().unwrap();
-        let _ = lp.car(id).unwrap();
-        let _ = lp.car(id).unwrap();
-        let _ = lp.cdr(id).unwrap();
-        let stats = lp.stats();
-        let counts = lp.sink().counts;
-        assert_eq!(counts.lpt_hits.get(), stats.hits);
-        assert_eq!(counts.lpt_misses.get(), stats.misses);
-        assert_eq!(counts.refops.get(), stats.refops);
-        assert_eq!(counts.entries_allocated.get(), stats.gets);
-        assert_eq!(counts.entries_freed.get(), stats.frees);
-        assert_eq!(counts.occupancy_samples.get(), stats.occupancy_samples);
-        assert_eq!(counts.heap_read_ins.get(), 1);
-        assert!(counts.heap_splits.get() > 0);
     }
 
     /// Retired from the deprecated four-method protect protocol

@@ -299,10 +299,10 @@ pub fn traverse_preorder<C: HeapController, S: EventSink>(
             LpValue::Obj(id) => {
                 // Touch 1: first contact; the car access splits the heap
                 // object if the node is not yet materialized.
-                let before = lp.stats().misses;
+                let before = lp.counts().lpt_misses.get();
                 let car = lp.car(id)?;
                 count.touches += 1;
-                if lp.stats().misses > before {
+                if lp.counts().lpt_misses.get() > before {
                     count.misses += 1;
                 } else {
                     count.hits += 1;

@@ -14,20 +14,19 @@
 use small_core::{ListProcessor, LpConfig, LpValue, LptCacheStats, OverflowPolicy, RefcountMode};
 use small_heap::controller::TwoPointerController;
 use small_heap::PersistableController;
-use small_metrics::{CountingSink, EventSink};
+use small_metrics::{EventSink, NoopSink};
 use small_sexpr::{parse, print, Interner};
 
-type Lp = ListProcessor<TwoPointerController, CountingSink>;
+type Lp = ListProcessor<TwoPointerController>;
 
 fn make(table: usize, overflow: OverflowPolicy, cache: bool) -> Lp {
-    let mut lp = ListProcessor::with_sink(
+    let mut lp = ListProcessor::new(
         TwoPointerController::new(65536, 64),
         LpConfig {
             table_size: table,
             overflow,
             ..LpConfig::default()
         },
-        CountingSink::default(),
     );
     lp.set_cache_enabled(cache);
     lp
@@ -124,7 +123,7 @@ fn drive_churn(lp: &mut Lp, i: &mut Interner) -> Vec<String> {
 fn assert_twins_agree(on: &Lp, off: &Lp, out_on: &[String], out_off: &[String]) {
     assert_eq!(out_on, out_off, "results diverged");
     assert_eq!(on.stats(), off.stats(), "LptStats diverged");
-    assert_eq!(on.sink().counts, off.sink().counts, "event counts diverged");
+    assert_eq!(on.counts(), off.counts(), "event counts diverged");
     assert_eq!(on.export_image(), off.export_image(), "images diverged");
     assert!(on.cache_stats().hits > 0, "cache never engaged");
     assert_eq!(
@@ -157,7 +156,7 @@ fn churn_with_compression_and_cycles_is_bit_identical() {
 #[test]
 fn split_refcounts_with_queue_discipline_agree() {
     let cfg = |cache| {
-        let mut lp = ListProcessor::with_sink(
+        let mut lp = ListProcessor::new(
             TwoPointerController::new(65536, 64),
             LpConfig {
                 table_size: 48,
@@ -165,7 +164,6 @@ fn split_refcounts_with_queue_discipline_agree() {
                 free_discipline: small_core::FreeDiscipline::Queue,
                 ..LpConfig::default()
             },
-            CountingSink::default(),
         );
         lp.set_cache_enabled(cache);
         lp
@@ -251,7 +249,6 @@ fn rplaca_between_cached_accesses_never_serves_stale_car() {
         "stale cached car served after rplaca"
     );
     release(&mut lp, c);
-    assert_eq!(lp.stats().hits, lp.sink().counts.lpt_hits.get());
 }
 
 #[test]
@@ -283,7 +280,7 @@ fn checkpoint_resume_between_cached_accesses() {
             ..LpConfig::default()
         },
         &img_on,
-        CountingSink::default(),
+        NoopSink,
     )
     .unwrap();
     assert!(resumed.cache_enabled());

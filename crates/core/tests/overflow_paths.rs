@@ -1,25 +1,22 @@
 //! Overflow-path coverage: hybrid pseudo-overflow behavior around its
-//! window/threshold crossing, and true-overflow cycle breaking — each
-//! observed both through `LptStats` and through the event-sink
-//! counters, which must agree.
+//! window/threshold crossing, and true-overflow cycle breaking —
+//! observed through `LptStats` and the LP's event counts.
 
 use small_core::{CompressPolicy, ListProcessor, LpConfig, LpError, LpValue, OverflowPolicy};
 use small_heap::controller::TwoPointerController;
 use small_heap::Word;
-use small_metrics::CountingSink;
 use small_sexpr::{parse, print, Interner};
 
-type Lp = ListProcessor<TwoPointerController, CountingSink>;
+type Lp = ListProcessor<TwoPointerController>;
 
 fn lp_with(table_size: usize, compression: CompressPolicy) -> Lp {
-    ListProcessor::with_sink(
+    ListProcessor::new(
         TwoPointerController::new(4096, 64),
         LpConfig {
             table_size,
             compression,
             ..LpConfig::default()
         },
-        CountingSink::default(),
     )
 }
 
@@ -74,11 +71,7 @@ fn hybrid_threshold_crossing_switches_to_compress_all() {
         s.compressed, 3,
         "past the threshold the hybrid compresses everything"
     );
-    // The sink saw exactly what the stats saw.
-    let counts = lp.sink().counts;
-    assert_eq!(counts.pseudo_overflows.get(), s.pseudo_overflows);
-    assert_eq!(counts.compressed.get(), s.compressed);
-    assert_eq!(counts.true_overflows.get(), 0);
+    assert_eq!(lp.counts().true_overflows.get(), 0);
     // The compressed pairs survived structurally.
     for b in held {
         assert!(lp.writelist(b).is_ok());
@@ -115,7 +108,6 @@ fn hybrid_window_expiry_keeps_compress_one() {
         s.compressed, 2,
         "with the window expired each overflow compresses one entry"
     );
-    assert_eq!(lp.sink().counts.compressed.get(), s.compressed);
 }
 
 /// True overflow: an unreachable reference cycle defeats both counting
@@ -139,10 +131,7 @@ fn cycle_breaking_reclaims_unreachable_cycle_and_counts_it() {
     let s = lp.stats();
     assert_eq!(s.cycle_collections, 1);
     assert_eq!(s.cycles_reclaimed, 2, "both cycle members reclaimed");
-    let counts = lp.sink().counts;
-    assert_eq!(counts.cycle_collections.get(), s.cycle_collections);
-    assert_eq!(counts.cycles_reclaimed.get(), s.cycles_reclaimed);
-    assert_eq!(counts.true_overflows.get(), 0, "recovered, not fatal");
+    assert_eq!(lp.counts().true_overflows.get(), 0, "recovered, not fatal");
 }
 
 /// Run a fixed workload — reads, conses of held values, readback of
@@ -151,14 +140,13 @@ fn cycle_breaking_reclaims_unreachable_cycle_and_counts_it() {
 /// the LP entered §4.3.2.3 heap-direct overflow mode.
 fn degrade_workload(table_size: usize) -> (Vec<String>, u64) {
     let mut i = Interner::new();
-    let mut lp: Lp = ListProcessor::with_sink(
+    let mut lp: Lp = ListProcessor::new(
         TwoPointerController::new(4096, 64),
         LpConfig {
             table_size,
             overflow: OverflowPolicy::Degrade,
             ..LpConfig::default()
         },
-        CountingSink::default(),
     );
     let mut held = Vec::new();
     for k in 0..20i64 {
@@ -200,14 +188,14 @@ fn tiny_table_completes_workload_in_overflow_mode_with_identical_output() {
 
 /// When everything is externally referenced and incompressible, the
 /// overflow is unrecoverable: the LP reports `TrueOverflow` (no panic)
-/// and the sink records the event.
+/// and the LP counts the event.
 #[test]
 fn unrecoverable_overflow_is_reported_and_counted() {
     let mut lp = lp_with(3, CompressPolicy::CompressOne);
     let held: Vec<LpValue> = (0..3).map(|k| atom_cons(&mut lp, k)).collect();
     let r = lp.cons(LpValue::Atom(Word::int(9)), LpValue::Atom(Word::NIL));
     assert_eq!(r.unwrap_err(), LpError::TrueOverflow);
-    let counts = lp.sink().counts;
+    let counts = lp.counts();
     assert_eq!(counts.true_overflows.get(), 1);
     assert_eq!(counts.compressed.get(), 0, "nothing was compressible");
     assert_eq!(counts.cycles_reclaimed.get(), 0, "nothing was garbage");

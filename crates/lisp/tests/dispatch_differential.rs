@@ -22,14 +22,14 @@ use small_core::{LpConfig, LptStats, SmallBackend};
 use small_heap::controller::TwoPointerController;
 use small_lisp::compiler::{compile_forms, compile_program};
 use small_lisp::vm::{ListBackend, Vm, VmValue};
-use small_metrics::{CountingSink, EventCounts};
+use small_metrics::EventCounts;
 use small_serve::gen::{programs_for, PINNED_SEEDS};
 use small_sexpr::{parse_all, print, Interner};
 
-type Backend = SmallBackend<TwoPointerController, CountingSink>;
+type Backend = SmallBackend<TwoPointerController>;
 
 fn backend() -> Backend {
-    SmallBackend::with_sink(1 << 16, LpConfig::default(), CountingSink::default())
+    SmallBackend::new(1 << 16, LpConfig::default())
 }
 
 /// Library functions available to generated programs (the same
@@ -112,6 +112,7 @@ fn drive(programs: &[String], threaded: bool) -> Report {
     backend.lp.drain_lazy();
     let occupancy = backend.lp.occupancy();
     let lpt = backend.lp.stats();
+    let counts = backend.lp.counts();
     Report {
         replies,
         vm_stats: (
@@ -122,7 +123,7 @@ fn drive(programs: &[String], threaded: bool) -> Report {
             s.name_searches,
         ),
         lpt,
-        counts: backend.into_sink().counts,
+        counts,
         occupancy,
     }
 }
@@ -342,5 +343,5 @@ fn interleaved_backends_match_pure_runs() {
     );
     assert_eq!(b.lp.occupancy(), 0);
     assert_eq!(b.lp.stats(), pure.lpt);
-    assert_eq!(b.into_sink().counts, pure.counts);
+    assert_eq!(b.lp.counts(), pure.counts);
 }

@@ -13,17 +13,20 @@
 //!   Processor, heap controller, and VM backend emit (hits, misses,
 //!   splits, merges, compression runs, overflow collections,
 //!   lazy-decrement drains, occupancy samples);
+//! * **Counts** — [`EventCounts`], one counter per event kind. The List
+//!   Processor keeps one always-on block and is its only writer; every
+//!   other tally (the LP ledger, serving `(stats)`, sweep snapshots)
+//!   is read from it;
 //! * **Sinks** — the [`EventSink`] trait, with [`NoopSink`] (statically
 //!   dispatched no-op: instrumented code monomorphizes to the
-//!   uninstrumented machine code), [`CountingSink`] (per-kind counters),
-//!   [`RecordingSink`] (counters plus histograms, snapshottable to
-//!   deterministic JSON), and [`FnSink`] (stream every event to a
-//!   closure).
+//!   uninstrumented machine code), [`RecordingSink`] (distribution
+//!   histograms, snapshottable to deterministic JSON together with the
+//!   LP's counts), and [`FnSink`] (stream every event to a closure).
 //!
 //! Instrumented components take a `S: EventSink` type parameter
 //! defaulting to [`NoopSink`], so existing call sites pay nothing —
 //! neither at the call site (no code change) nor at run time (the no-op
-//! sink compiles away).
+//! sink compiles away). Sinks keep only what is not a count.
 //!
 //! Snapshots serialize through [`MetricsSnapshot::to_json`], a
 //! hand-rolled, dependency-free writer with a fixed key order, so two
@@ -388,10 +391,13 @@ pub enum OpClass {
 /// request with [`op_begin`](EventSink::op_begin) /
 /// [`op_end`](EventSink::op_end) so span/profile sinks can attribute
 /// events to primitives and advance a virtual clock. Both hooks default
-/// to no-ops: counting sinks ignore them at zero cost.
+/// to no-ops: sinks that only watch events ignore them at zero cost.
 pub trait EventSink {
-    /// Consume one event.
-    fn record(&mut self, event: Event);
+    /// Consume one event. Ignored by default: the List Processor counts
+    /// every event itself, so a sink records only what a count cannot
+    /// hold (histograms, digests, spans).
+    #[inline(always)]
+    fn record(&mut self, _event: Event) {}
 
     /// The LP started serving a timed request. Events recorded until
     /// the matching [`op_end`](EventSink::op_end) belong to it.
@@ -420,12 +426,9 @@ pub trait EventSink {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NoopSink;
 
-impl EventSink for NoopSink {
-    #[inline(always)]
-    fn record(&mut self, _event: Event) {}
-}
+impl EventSink for NoopSink {}
 
-/// Per-kind event counts, the common core of the recording sinks.
+/// Per-kind event counts: the List Processor's one counter block.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EventCounts {
     /// car/cdr requests satisfied by LPT fields.
@@ -475,9 +478,9 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
-    /// Fold one event into the counters (the body of
-    /// [`CountingSink::record`], public so composite sinks can reuse
-    /// it).
+    /// Fold one event into the counters. Inlined so that, at a call
+    /// site with a known event, the match folds to one increment.
+    #[inline]
     pub fn record(&mut self, event: Event) {
         match event {
             Event::LptHit => self.lpt_hits.inc(),
@@ -513,30 +516,8 @@ impl EventCounts {
 
     /// Fold another set of counts in.
     pub fn merge(&mut self, other: &EventCounts) {
-        self.lpt_hits.merge(other.lpt_hits);
-        self.lpt_misses.merge(other.lpt_misses);
-        self.refops.merge(other.refops);
-        self.ep_refops.merge(other.ep_refops);
-        self.entries_allocated.merge(other.entries_allocated);
-        self.entries_freed.merge(other.entries_freed);
-        self.lazy_drains.merge(other.lazy_drains);
-        self.lazy_children.merge(other.lazy_children);
-        self.pseudo_overflows.merge(other.pseudo_overflows);
-        self.compressed.merge(other.compressed);
-        self.cycle_collections.merge(other.cycle_collections);
-        self.cycles_reclaimed.merge(other.cycles_reclaimed);
-        self.true_overflows.merge(other.true_overflows);
-        self.heap_splits.merge(other.heap_splits);
-        self.heap_merges.merge(other.heap_merges);
-        self.heap_read_ins.merge(other.heap_read_ins);
-        self.heap_frees.merge(other.heap_frees);
-        self.occupancy_samples.merge(other.occupancy_samples);
-        self.heap_faults_detected.merge(other.heap_faults_detected);
-        self.heap_faults_recovered
-            .merge(other.heap_faults_recovered);
-        self.overflow_mode_entries
-            .merge(other.overflow_mode_entries);
-        self.overflow_mode_exits.merge(other.overflow_mode_exits);
+        let (a, b) = (self.to_words(), other.to_words());
+        *self = EventCounts::from_words(&std::array::from_fn(|k| a[k].saturating_add(b[k])));
     }
 
     /// Field names matching [`EventCounts::to_words`] order, for
@@ -625,53 +606,27 @@ impl EventCounts {
         c
     }
 
+    /// Serialize as one JSON object, keys in [`EventCounts::WORD_NAMES`]
+    /// order.
+    pub fn to_json(&self) -> String {
+        let mut o = JsonObject::new();
+        self.json_fields(&mut o);
+        o.finish()
+    }
+
     fn json_fields(&self, out: &mut JsonObject) {
-        out.field_u64("lpt_hits", self.lpt_hits.get());
-        out.field_u64("lpt_misses", self.lpt_misses.get());
-        out.field_u64("refops", self.refops.get());
-        out.field_u64("ep_refops", self.ep_refops.get());
-        out.field_u64("entries_allocated", self.entries_allocated.get());
-        out.field_u64("entries_freed", self.entries_freed.get());
-        out.field_u64("lazy_drains", self.lazy_drains.get());
-        out.field_u64("lazy_children", self.lazy_children.get());
-        out.field_u64("pseudo_overflows", self.pseudo_overflows.get());
-        out.field_u64("compressed", self.compressed.get());
-        out.field_u64("cycle_collections", self.cycle_collections.get());
-        out.field_u64("cycles_reclaimed", self.cycles_reclaimed.get());
-        out.field_u64("true_overflows", self.true_overflows.get());
-        out.field_u64("heap_splits", self.heap_splits.get());
-        out.field_u64("heap_merges", self.heap_merges.get());
-        out.field_u64("heap_read_ins", self.heap_read_ins.get());
-        out.field_u64("heap_frees", self.heap_frees.get());
-        out.field_u64("occupancy_samples", self.occupancy_samples.get());
-        out.field_u64("heap_faults_detected", self.heap_faults_detected.get());
-        out.field_u64("heap_faults_recovered", self.heap_faults_recovered.get());
-        out.field_u64("overflow_mode_entries", self.overflow_mode_entries.get());
-        out.field_u64("overflow_mode_exits", self.overflow_mode_exits.get());
+        for (name, v) in Self::WORD_NAMES.iter().zip(self.to_words()) {
+            out.field_u64(name, v);
+        }
     }
 }
 
-/// A sink that counts events by kind and nothing else.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CountingSink {
-    /// The per-kind counts.
-    pub counts: EventCounts,
-}
-
-impl EventSink for CountingSink {
-    #[inline]
-    fn record(&mut self, event: Event) {
-        self.counts.record(event);
-    }
-}
-
-/// A sink that counts events *and* keeps distribution histograms:
-/// occupancy over time, compression-run and cycle-collection reclaim
-/// sizes, and lazy-drain sizes.
+/// A sink that keeps distribution histograms: occupancy over time,
+/// compression-run and cycle-collection reclaim sizes, and lazy-drain
+/// sizes. The counts come from the List Processor (see
+/// [`RecordingSink::snapshot`]).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RecordingSink {
-    /// The per-kind counts.
-    pub counts: EventCounts,
     /// Distribution of live-entry occupancy samples.
     pub occupancy: Histogram,
     /// Distribution of entries reclaimed per compression pass.
@@ -685,7 +640,6 @@ pub struct RecordingSink {
 impl EventSink for RecordingSink {
     #[inline]
     fn record(&mut self, event: Event) {
-        self.counts.record(event);
         match event {
             Event::Occupancy { live } => self.occupancy.record(u64::from(live)),
             Event::PseudoOverflow { reclaimed } => {
@@ -699,10 +653,11 @@ impl EventSink for RecordingSink {
 }
 
 impl RecordingSink {
-    /// Freeze the current state into a serializable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Freeze the histograms, together with the `counts` of the List
+    /// Processor this sink observed, into a serializable snapshot.
+    pub fn snapshot(&self, counts: EventCounts) -> MetricsSnapshot {
         MetricsSnapshot {
-            counts: self.counts,
+            counts,
             occupancy: self.occupancy.clone(),
             compress_reclaim: self.compress_reclaim.clone(),
             cycle_reclaim: self.cycle_reclaim.clone(),
@@ -745,7 +700,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 }
 
 /// Tee: a pair of sinks both observe the same stream (e.g. a
-/// [`RecordingSink`] for counters next to a span profiler).
+/// [`RecordingSink`] for histograms next to a span profiler).
 impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     #[inline]
     fn record(&mut self, event: Event) {
@@ -776,7 +731,8 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
 // Snapshots and JSON
 // ---------------------------------------------------------------------
 
-/// A frozen, serializable view of a [`RecordingSink`].
+/// A frozen, serializable view of a List Processor's counts and a
+/// [`RecordingSink`]'s histograms.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Per-kind event counts.
@@ -971,32 +927,40 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0, "9 zeros of 17 put the median at 0");
     }
 
+    /// What the List Processor does with each event: count it in its
+    /// block, then hand it to the sink.
+    fn emit(counts: &mut EventCounts, sink: &mut RecordingSink, event: Event) {
+        counts.record(event);
+        sink.record(event);
+    }
+
     #[test]
-    fn counting_sink_counts_by_kind() {
-        let mut s = CountingSink::default();
-        s.record(Event::LptHit);
-        s.record(Event::LptHit);
-        s.record(Event::LptMiss);
-        s.record(Event::PseudoOverflow { reclaimed: 5 });
-        s.record(Event::LazyDrain { children: 2 });
-        assert_eq!(s.counts.lpt_hits.get(), 2);
-        assert_eq!(s.counts.lpt_misses.get(), 1);
-        assert_eq!(s.counts.pseudo_overflows.get(), 1);
-        assert_eq!(s.counts.compressed.get(), 5);
-        assert_eq!(s.counts.lazy_drains.get(), 1);
-        assert_eq!(s.counts.lazy_children.get(), 2);
+    fn event_counts_record_by_kind() {
+        let mut c = EventCounts::default();
+        c.record(Event::LptHit);
+        c.record(Event::LptHit);
+        c.record(Event::LptMiss);
+        c.record(Event::PseudoOverflow { reclaimed: 5 });
+        c.record(Event::LazyDrain { children: 2 });
+        assert_eq!(c.lpt_hits.get(), 2);
+        assert_eq!(c.lpt_misses.get(), 1);
+        assert_eq!(c.pseudo_overflows.get(), 1);
+        assert_eq!(c.compressed.get(), 5);
+        assert_eq!(c.lazy_drains.get(), 1);
+        assert_eq!(c.lazy_children.get(), 2);
+        assert_eq!(EventCounts::from_words(&c.to_words()), c);
     }
 
     #[test]
     fn recording_sink_snapshot_json_is_deterministic() {
         let run = || {
-            let mut s = RecordingSink::default();
+            let (mut c, mut s) = (EventCounts::default(), RecordingSink::default());
             for k in 0..50u32 {
-                s.record(Event::Occupancy { live: k % 7 });
-                s.record(Event::RefOp);
+                emit(&mut c, &mut s, Event::Occupancy { live: k % 7 });
+                emit(&mut c, &mut s, Event::RefOp);
             }
-            s.record(Event::CycleCollection { reclaimed: 3 });
-            s.snapshot().to_json()
+            emit(&mut c, &mut s, Event::CycleCollection { reclaimed: 3 });
+            s.snapshot(c).to_json()
         };
         let a = run();
         let b = run();
@@ -1273,15 +1237,15 @@ mod tests {
 
     #[test]
     fn snapshot_json_reparses_with_stable_keys() {
-        let mut s = RecordingSink::default();
+        let (mut c, mut s) = (EventCounts::default(), RecordingSink::default());
         for k in 0..20u32 {
-            s.record(Event::Occupancy { live: k });
-            s.record(Event::LptHit);
+            emit(&mut c, &mut s, Event::Occupancy { live: k });
+            emit(&mut c, &mut s, Event::LptHit);
         }
-        s.record(Event::LptMiss);
-        s.record(Event::LazyDrain { children: 2 });
-        s.record(Event::PseudoOverflow { reclaimed: 4 });
-        let snap = s.snapshot();
+        emit(&mut c, &mut s, Event::LptMiss);
+        emit(&mut c, &mut s, Event::LazyDrain { children: 2 });
+        emit(&mut c, &mut s, Event::PseudoOverflow { reclaimed: 4 });
+        let snap = s.snapshot(c);
         let text = snap.to_json();
         let parsed = parse_json(&text);
 
@@ -1335,12 +1299,12 @@ mod tests {
         );
 
         // Reserializing the same state reproduces the bytes exactly.
-        assert_eq!(s.snapshot().to_json(), text);
+        assert_eq!(s.snapshot(c).to_json(), text);
     }
 
     #[test]
     fn empty_snapshot_json_reparses() {
-        let snap = RecordingSink::default().snapshot();
+        let snap = RecordingSink::default().snapshot(EventCounts::default());
         let parsed = parse_json(&snap.to_json());
         assert_eq!(parsed.get("lpt_hits").num_u64(), 0);
         let occ = parsed.get("occupancy");
@@ -1351,12 +1315,12 @@ mod tests {
 
     #[test]
     fn tee_sink_feeds_both_halves() {
-        let mut tee = (CountingSink::default(), CountingSink::default());
-        tee.record(Event::LptHit);
+        let mut tee = (RecordingSink::default(), RecordingSink::default());
+        tee.record(Event::Occupancy { live: 3 });
         tee.op_begin(PrimKind::Car);
         tee.op_end(OpClass::AccessHit);
-        assert_eq!(tee.0.counts.lpt_hits.get(), 1);
-        assert_eq!(tee.1.counts.lpt_hits.get(), 1);
+        assert_eq!(tee.0.occupancy.count(), 1);
+        assert_eq!(tee.1.occupancy.max(), 3);
     }
 
     #[test]
@@ -1373,14 +1337,14 @@ mod tests {
 
     #[test]
     fn snapshot_merge_adds() {
-        let mut a = RecordingSink::default();
-        a.record(Event::LptHit);
-        a.record(Event::Occupancy { live: 4 });
-        let mut b = RecordingSink::default();
-        b.record(Event::LptHit);
-        b.record(Event::Occupancy { live: 9 });
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
+        let (mut ac, mut a) = (EventCounts::default(), RecordingSink::default());
+        emit(&mut ac, &mut a, Event::LptHit);
+        emit(&mut ac, &mut a, Event::Occupancy { live: 4 });
+        let (mut bc, mut b) = (EventCounts::default(), RecordingSink::default());
+        emit(&mut bc, &mut b, Event::LptHit);
+        emit(&mut bc, &mut b, Event::Occupancy { live: 9 });
+        let mut snap = a.snapshot(ac);
+        snap.merge(&b.snapshot(bc));
         assert_eq!(snap.counts.lpt_hits.get(), 2);
         assert_eq!(snap.occupancy.count(), 2);
         assert_eq!(snap.occupancy.max(), 9);

@@ -645,56 +645,6 @@ pub const LEDGER_FIELDS: [&str; 20] = [
     "heap-direct-ops",
 ];
 
-fn ledger_words(s: &LptStats) -> [u64; 20] {
-    [
-        s.refops,
-        s.ep_refops,
-        s.gets,
-        s.frees,
-        s.hits,
-        s.misses,
-        s.pseudo_overflows,
-        s.compressed,
-        s.cycle_collections,
-        s.cycles_reclaimed,
-        s.max_occupancy as u64,
-        s.occupancy_sum,
-        s.occupancy_samples,
-        u64::from(s.max_refcount),
-        u64::from(s.max_ep_refcount),
-        s.faults_detected,
-        s.faults_recovered,
-        s.overflow_entries,
-        s.overflow_exits,
-        s.heap_direct_ops,
-    ]
-}
-
-fn ledger_from_words(w: &[u64; 20]) -> Option<LptStats> {
-    Some(LptStats {
-        refops: w[0],
-        ep_refops: w[1],
-        gets: w[2],
-        frees: w[3],
-        hits: w[4],
-        misses: w[5],
-        pseudo_overflows: w[6],
-        compressed: w[7],
-        cycle_collections: w[8],
-        cycles_reclaimed: w[9],
-        max_occupancy: usize::try_from(w[10]).ok()?,
-        occupancy_sum: w[11],
-        occupancy_samples: w[12],
-        max_refcount: u32::try_from(w[13]).ok()?,
-        max_ep_refcount: u32::try_from(w[14]).ok()?,
-        faults_detected: w[15],
-        faults_recovered: w[16],
-        overflow_entries: w[17],
-        overflow_exits: w[18],
-        heap_direct_ops: w[19],
-    })
-}
-
 impl Reply {
     /// Canonical wire text of the reply.
     pub fn encode(&self) -> String {
@@ -705,7 +655,7 @@ impl Reply {
             Reply::Opened { id } => format!("(ok opened {id})"),
             Reply::Value { text } => format!("(ok value {text})"),
             Reply::Ledger(stats) => {
-                let words = ledger_words(stats);
+                let words = stats.to_words();
                 let mut out = String::from("(ok ledger");
                 for (name, v) in LEDGER_FIELDS.iter().zip(words.iter()) {
                     out.push_str(&format!(" ({name} {v})"));
@@ -789,7 +739,7 @@ impl Reply {
                             }
                             *slot = u64::try_from(pair[1].as_int()?).ok()?;
                         }
-                        Some(Reply::Ledger(Box::new(ledger_from_words(&words)?)))
+                        Some(Reply::Ledger(Box::new(LptStats::from_words(&words)?)))
                     }
                     "digest" if items.len() == 3 => {
                         let sym = scratch.name(items[2].as_sym()?);
@@ -1274,7 +1224,7 @@ mod tests {
             prop::collection::vec(0u64..1_000_000, 20).prop_map(|v| {
                 let mut w = [0u64; 20];
                 w.copy_from_slice(&v);
-                Reply::Ledger(Box::new(ledger_from_words(&w).unwrap()))
+                Reply::Ledger(Box::new(LptStats::from_words(&w).unwrap()))
             }),
             (
                 0u64..100,

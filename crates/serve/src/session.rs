@@ -2,9 +2,9 @@
 //!
 //! A [`Session`] owns a `Vm<SmallBackend>` (the EP), its List
 //! Processor (the LP), a persistent [`Interner`] so symbols keep their
-//! identities across requests, and a [`ServeSink`] recording the
-//! session's EP↔LP event traffic while pricing it on the machine's
-//! virtual clock. Requests are s-expression program
+//! identities across requests, and a [`ServeSink`] pricing the
+//! session's EP↔LP event traffic on the machine's virtual clock (the
+//! LP itself counts that traffic). Requests are s-expression program
 //! texts; each is compiled against the session interner and run on the
 //! same machine, so `setq`-created globals (and the LPT entries they
 //! retain) carry over from request to request — exactly the paper's
@@ -234,9 +234,9 @@ impl Session {
         }
     }
 
-    /// The session's event counts (a copy).
+    /// The session's event counts (a copy of its LP's block).
     pub fn counts(&self) -> EventCounts {
-        self.vm.backend.lp.sink().counts
+        self.vm.backend.lp.counts()
     }
 
     /// Virtual cycles accrued since the last take, pricing the
@@ -277,7 +277,7 @@ impl Session {
         let mut w = ByteWriter::new();
         w.put_u64(self.requests);
         w.put_u64(self.digest);
-        for word in self.vm.backend.lp.sink().counts.to_words() {
+        for word in self.vm.backend.lp.counts().to_words() {
             w.put_u64(word);
         }
         w.put_u64(self.interner.len() as u64);
@@ -324,7 +324,8 @@ impl Session {
     }
 
     /// Resume a session from a [`Session::suspend`] blob. Fails closed
-    /// on any damage (CRC, version, malformed image, short driver).
+    /// on any damage (CRC, version, malformed image, short driver, or
+    /// count words that disagree with the image's `LptStats`).
     pub fn resume(id: u64, cfg: &ServeConfig, bytes: &[u8]) -> Result<Session, PersistError> {
         let corrupt = PersistError::CorruptCheckpoint;
         let ckpt = decode_checkpoint(bytes)?;
@@ -367,8 +368,11 @@ impl Session {
         r.expect_end().map_err(corrupt)?;
 
         let controller = TwoPointerController::import_image(&ckpt.controller)?;
-        let sink = ServeSink::with_counts(EventCounts::from_words(&words));
-        let lp = ListProcessor::from_image(controller, cfg.lp_config(), &ckpt.lp, sink)?;
+        let mut lp =
+            ListProcessor::from_image(controller, cfg.lp_config(), &ckpt.lp, ServeSink::default())?;
+        if !lp.restore_counts(EventCounts::from_words(&words)) {
+            return Err(corrupt("suspended counts disagree with the image ledger"));
+        }
         if !lp.audit().is_clean() {
             return Err(corrupt("restored session table fails audit"));
         }
@@ -562,6 +566,37 @@ mod tests {
         assert!(Session::resume(1, &c, &blob).is_err());
         let short = &blob[..blob.len() / 3];
         assert!(Session::resume(1, &c, short).is_err());
+    }
+
+    /// A blob whose count words disagree with its own LP image's
+    /// `LptStats` on a shared count is refused with a typed error even
+    /// with a valid CRC; a word the image does not carry is adopted.
+    #[test]
+    fn count_words_disagreeing_with_the_image_fail_closed() {
+        let c = cfg();
+        let mut s = Session::new(1, &c);
+        s.eval("(setq x (cons 1 (cons 2 nil)))");
+        let blob = s.suspend();
+        // The driver holds `requests` and `digest`, then the 22 count
+        // words in `EventCounts::to_words` order.
+        let retamper = |word: usize| {
+            let mut ckpt = decode_checkpoint(&blob).expect("decode");
+            let at = 16 + 8 * word;
+            ckpt.driver[at] = ckpt.driver[at].wrapping_add(1);
+            encode_checkpoint(&ckpt)
+        };
+        let refops = EventCounts::WORD_NAMES.iter().position(|&n| n == "refops");
+        assert!(matches!(
+            Session::resume(1, &c, &retamper(refops.unwrap())),
+            Err(PersistError::CorruptCheckpoint(_))
+        ));
+        let splits = EventCounts::WORD_NAMES
+            .iter()
+            .position(|&n| n == "heap_splits");
+        let mut want = Session::resume(1, &c, &blob).expect("resume").counts();
+        want.heap_splits.inc();
+        let resumed = Session::resume(1, &c, &retamper(splits.unwrap())).expect("resume");
+        assert_eq!(resumed.counts(), want);
     }
 
     /// Pins the bytes of one suspend blob, sized as the benchmark's

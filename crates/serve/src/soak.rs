@@ -54,7 +54,6 @@ use crate::protocol::{Reply, Request, Role};
 use crate::server::{self, ServerParams};
 use crate::session::ServeConfig;
 use crate::telemetry::{prometheus_text, ReqKind, ShardMetrics, VolatileMetrics};
-use small_metrics::EventCounts;
 use small_persist::{digest_bytes, DIGEST_SEED};
 use std::io;
 use std::net::TcpStream;
@@ -316,16 +315,6 @@ pub fn twin_telemetry(
         let _ = twin.apply(&Request::Close { id, seq: None });
     }
     twin.telemetry().clone()
-}
-
-fn counts_json(c: &EventCounts) -> String {
-    let words = c.to_words();
-    let fields: Vec<String> = EventCounts::WORD_NAMES
-        .iter()
-        .zip(words.iter())
-        .map(|(name, value)| format!("\"{name}\":{value}"))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 /// The request scripts of one churn worker: `sessions` short-lived
@@ -600,7 +589,7 @@ pub fn run_soak(p: &SoakParams) -> io::Result<SoakOutcome> {
              \"drain_blobs_ok\":{blobs_ok},\"metrics\":{twin_metrics},\"aggregate\":{}}}",
             sessions_json.join(","),
             transcript_digest(&sweep_serial),
-            counts_json(&serial_counts),
+            serial_counts.to_json(),
         ));
     }
 

@@ -24,40 +24,27 @@
 //! and never byte-compared.
 
 use crate::protocol::Request;
-use small_metrics::{
-    histogram_json, Counter, Event, EventCounts, EventSink, Histogram, JsonObject, OpClass,
-};
+use small_metrics::{histogram_json, Counter, EventSink, Histogram, JsonObject, OpClass};
 use small_profile::{chrome::TraceBuilder, CycleClock};
 use std::sync::Mutex;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// ServeSink — the per-session event sink: counts + virtual clock
+// ServeSink — the per-session event sink: the virtual clock
 // ---------------------------------------------------------------------
 
-/// The event sink every serving session machine runs with: the
-/// [`EventCounts`] the `(stats)` surface aggregates (persisted across
-/// suspend/resume), plus a [`CycleClock`] advanced at every operation
-/// boundary. The clock is *not* persisted — it is drained at each
+/// The event sink every serving session machine runs with: a
+/// [`CycleClock`] advanced at every operation boundary. (The event
+/// counts the `(stats)` surface aggregates live in the session's List
+/// Processor.) The clock is *not* persisted — it is drained at each
 /// request boundary by [`ServeSink::take_cycles`], so suspension
 /// between requests cannot observe (or perturb) it.
 #[derive(Debug, Clone, Default)]
 pub struct ServeSink {
-    /// Per-kind event counts (the suspend blob carries these words).
-    pub counts: EventCounts,
     clock: CycleClock,
 }
 
 impl ServeSink {
-    /// A sink resuming from persisted counts (the clock starts fresh —
-    /// it never spans a request boundary).
-    pub fn with_counts(counts: EventCounts) -> ServeSink {
-        ServeSink {
-            counts,
-            clock: CycleClock::default(),
-        }
-    }
-
     /// Virtual cycles accumulated since the last call; resets the
     /// clock. Called once per request.
     pub fn take_cycles(&mut self) -> u64 {
@@ -66,11 +53,6 @@ impl ServeSink {
 }
 
 impl EventSink for ServeSink {
-    #[inline]
-    fn record(&mut self, event: Event) {
-        self.counts.record(event);
-    }
-
     #[inline]
     fn op_end(&mut self, class: OpClass) {
         self.clock.advance(class);

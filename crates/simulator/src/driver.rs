@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use small_core::LptStats;
 use small_core::{Id, ListProcessor, LpConfig, LpError, LpValue, Rooted};
 use small_heap::controller::{ControllerStats, HeapController, TwoPointerController};
-use small_metrics::{EventSink, NoopSink};
+use small_metrics::{EventCounts, EventSink, NoopSink};
 use small_trace::{Prim, Trace};
 
 /// Optional cache model configuration.
@@ -59,6 +59,10 @@ pub struct SimResult {
     pub name: String,
     /// LPT counters.
     pub lpt: LptStats,
+    /// The LP's event counts (see `ListProcessor::counts`). A resumed
+    /// durable run restarts the seven kinds `LptStats` does not carry
+    /// at its last resume.
+    pub counts: EventCounts,
     /// Heap-controller counters.
     pub heap: ControllerStats,
     /// car/cdr requests satisfied by LPT fields (Table 5.4 semantics —
@@ -207,6 +211,7 @@ pub fn run_sim_on_controller<C: HeapController, S: EventSink>(
     let result = SimResult {
         name: trace.name.clone(),
         lpt: d.lp.stats(),
+        counts: d.lp.counts(),
         heap: d.lp.controller.stats(),
         access_hits: d.access_hits,
         access_misses: d.access_misses,
@@ -541,7 +546,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                 if let LpValue::Obj(id) = arg {
                     self.cache_access(id);
                 }
-                let before = self.lp.stats().misses;
+                let before = self.lp.counts().lpt_misses.get();
                 let want_car = prim == Prim::Car;
                 // Transient heap faults are retried with bounded
                 // backoff at the call site, leaving the workload's RNG
@@ -553,7 +558,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                         lp.cdr_of(arg)
                     }
                 })?;
-                if self.lp.stats().misses > before {
+                if self.lp.counts().lpt_misses.get() > before {
                     self.access_misses += 1;
                     if let LpValue::Obj(id) = arg {
                         self.place_children(id);
@@ -592,7 +597,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                 let guard_t = self.lp.root(target);
                 let v = self.operand(chained(1), false)?;
                 let guard_v = self.lp.root(v);
-                let before = self.lp.stats().misses;
+                let before = self.lp.counts().lpt_misses.get();
                 let is_a = prim == Prim::Rplaca;
                 match self.lp.retrying(|lp| {
                     if is_a {
@@ -608,7 +613,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
                     Err(LpError::Degraded(_)) => {}
                     Err(e) => return Err(e),
                 }
-                if self.lp.stats().misses > before {
+                if self.lp.counts().lpt_misses.get() > before {
                     if let LpValue::Obj(id) = target {
                         self.place_children(id);
                     }
@@ -646,7 +651,7 @@ impl<'t, C: HeapController, S: EventSink> Driver<'t, C, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use small_metrics::CountingSink;
+    use small_metrics::RecordingSink;
     use small_workloads::synthetic;
 
     fn small_trace() -> Trace {
@@ -679,19 +684,15 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_uninstrumented() {
-        // The sink only observes: stats with and without instrumentation
-        // are identical, and the event counts mirror the LPT counters.
+        // The sink only observes: stats and counts with and without
+        // instrumentation are identical.
         let t = small_trace();
         let plain = run_sim(&t, SimParams::default(), None);
-        let (r, sink) = run_sim_with_sink(&t, SimParams::default(), None, CountingSink::default());
-        assert_eq!(plain.lpt.refops, r.lpt.refops);
-        assert_eq!(plain.lpt.gets, r.lpt.gets);
-        assert_eq!(plain.lpt.frees, r.lpt.frees);
+        let (r, sink) = run_sim_with_sink(&t, SimParams::default(), None, RecordingSink::default());
+        assert_eq!(plain.lpt, r.lpt);
+        assert_eq!(plain.counts, r.counts);
         assert_eq!(plain.access_misses, r.access_misses);
-        assert_eq!(sink.counts.refops.get(), r.lpt.refops);
-        assert_eq!(sink.counts.entries_allocated.get(), r.lpt.gets);
-        assert_eq!(sink.counts.entries_freed.get(), r.lpt.frees);
-        assert_eq!(sink.counts.lpt_misses.get(), r.lpt.misses);
+        assert_eq!(sink.occupancy.count(), r.lpt.occupancy_samples);
     }
 
     #[test]

@@ -248,6 +248,7 @@ fn finish(
     let result = SimResult {
         name: d.trace.name.clone(),
         lpt: d.lp.stats(),
+        counts: d.lp.counts(),
         heap: d.lp.controller.stats(),
         access_hits: d.access_hits,
         access_misses: d.access_misses,
